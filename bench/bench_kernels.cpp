@@ -18,7 +18,6 @@
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "common/topology.hpp"
-#include "linalg/cholesky.hpp"
 #include "linalg/kernels.hpp"
 #include "runtime/tiled_cholesky_rt.hpp"
 
@@ -164,7 +163,9 @@ void BM_CholeskyVariant(benchmark::State& state) {
     auto tiled =
         TiledSymmetricMatrix::from_dense(a, nb, make_band_policy(nt, variant));
     state.ResumeTiming();
-    cholesky_tiled(tiled);
+    runtime::RtCholeskyOptions opt;
+    opt.threads = 1;  // per-variant kernel cost; thread scaling is below
+    runtime::cholesky_tiled_parallel(tiled, opt);
     benchmark::DoNotOptimize(&tiled);
   }
   state.counters["GFlop/s"] = benchmark::Counter(

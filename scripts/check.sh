@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Full robustness gate: the tier-1 build + test sweep, a lint stage, then the
-# concurrency and fault/determinism suites under the sanitizer presets.
+# Full robustness gate: the tier-1 build + test sweep, a compile check of the
+# benchmark harness, a lint stage, then the concurrency and
+# fault/determinism suites under the sanitizer presets.
 #
-#   scripts/check.sh            # tier-1 + lint + kernels + asan + tsan sweeps
+#   scripts/check.sh            # tier-1 + perfbench build + lint + kernels
+#                               # + asan + tsan sweeps
 #   scripts/check.sh --tier1    # tier-1 only (what CI must always pass)
 #   scripts/check.sh --lint     # lint stage only (tidy + grep invariants)
 #
@@ -107,6 +109,12 @@ if [[ "${1:-}" == "--tier1" ]]; then
   echo "tier-1 sweep passed"
   exit 0
 fi
+
+# --- perfbench compile check --------------------------------------------------
+# Tier 1 does not build the benchmark harness, so a library API change could
+# break it unseen. Compile only; running it is perfbench/run.py's job.
+run cmake -S perfbench -B build-perfbench -DCMAKE_BUILD_TYPE=Release
+run cmake --build build-perfbench --target perfbench -j
 
 lint
 

@@ -6,6 +6,7 @@
 
 #include "common/io.hpp"
 #include "linalg/precision_policy.hpp"
+#include "runtime/tiled_cholesky_rt.hpp"
 #include "runtime/verify_mode.hpp"
 #include "stats/trend.hpp"
 
@@ -19,9 +20,8 @@ struct EmulatorConfig {
 
   /// Precision variant for the Cholesky of the innovation covariance.
   linalg::PrecisionVariant cholesky_variant = linalg::PrecisionVariant::DP;
-  index_t tile_size = 128;           ///< nb for the tiled solver
-  bool use_parallel_runtime = true;  ///< factor U via the task runtime
-  unsigned threads = 0;              ///< 0 = hardware concurrency
+  index_t tile_size = 128;  ///< nb for the tiled solver
+  unsigned threads = 0;     ///< 0 = hardware concurrency
 
   double jitter_base = 1e-10;  ///< diagonal perturbation scale (Eq. 9 repair)
 
@@ -70,6 +70,23 @@ struct EmulatorConfig {
     c.period = steps_per_year;
     c.rho_grid = rho_grid;
     return c;
+  }
+
+  /// Options for every tiled Cholesky of the innovation covariance.
+  runtime::RtCholeskyOptions cholesky_options() const {
+    runtime::RtCholeskyOptions o;
+    o.threads = threads;
+    o.stall_timeout_seconds = stall_timeout_seconds;
+    o.stall_grace_seconds = stall_grace_seconds;
+    o.verify = verify_mode;
+    o.ft.enabled = fault_tolerance;
+    o.ft.integrity_checks = fault_tolerance;
+    o.ft.jitter_base = jitter_base;
+    o.ft.checkpoint_path = checkpoint_path;
+    o.ft.checkpoint_every = checkpoint_every;
+    o.ft.resume_path = resume_path;
+    o.ft.checkpoint_sync = checkpoint_sync;
+    return o;
   }
 };
 

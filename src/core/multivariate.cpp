@@ -205,12 +205,7 @@ MultiVarTrainReport MultiVariateEmulator::train(
   const index_t nt = (joint_dim + nb - 1) / nb;
   linalg::TiledSymmetricMatrix tiled = linalg::TiledSymmetricMatrix::from_dense(
       prepared.u, nb, linalg::make_band_policy(nt, config_.cholesky_variant));
-  runtime::RtCholeskyOptions rt_opt;
-  rt_opt.threads = config_.threads;
-  rt_opt.stall_timeout_seconds = config_.stall_timeout_seconds;
-  rt_opt.stall_grace_seconds = config_.stall_grace_seconds;
-  rt_opt.verify = config_.verify_mode;
-  runtime::cholesky_tiled_parallel(tiled, rt_opt);
+  runtime::cholesky_tiled_parallel(tiled, config_.cholesky_options());
   factor_ = tiled.to_dense(/*lower_only=*/true);
 
   trained_ = true;

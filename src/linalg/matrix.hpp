@@ -3,7 +3,7 @@
 //
 // Row-major storage. These are deliberately simple value types; the
 // performance-critical path is the tiled mixed-precision solver in
-// linalg/tile_matrix.hpp + linalg/cholesky.hpp, not this class.
+// linalg/tile_matrix.hpp + runtime/tiled_cholesky_rt.hpp, not this class.
 #pragma once
 
 #include <span>

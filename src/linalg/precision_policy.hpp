@@ -53,4 +53,8 @@ PrecisionMap make_tile_centric_policy(const Matrix& a, index_t nb,
 /// Parses "DP", "DP/SP", "DP/SP/HP", "DP/HP" (case-sensitive).
 PrecisionVariant parse_variant(const std::string& name);
 
+/// Where the tiled Cholesky converts operands between precisions (see
+/// runtime/tiled_cholesky_rt.hpp).
+enum class ConversionPlacement { Sender, Receiver };
+
 }  // namespace exaclim::linalg

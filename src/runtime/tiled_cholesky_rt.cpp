@@ -733,4 +733,12 @@ RtCholeskyResult cholesky_tiled_parallel(linalg::TiledSymmetricMatrix& a,
   return result;
 }
 
+linalg::Matrix cholesky_mixed_dense(const linalg::Matrix& a, index_t nb,
+                                    linalg::PrecisionVariant v) {
+  linalg::TiledSymmetricMatrix tiled = linalg::TiledSymmetricMatrix::from_dense(
+      a, nb, linalg::make_band_policy((a.rows() + nb - 1) / nb, v));
+  cholesky_tiled_parallel(tiled);
+  return tiled.to_dense(/*lower_only=*/true);
+}
+
 }  // namespace exaclim::runtime

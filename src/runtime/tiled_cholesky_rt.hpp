@@ -1,18 +1,26 @@
-// Runtime-parallel mixed-precision tile Cholesky.
+// Mixed-precision tile Cholesky on the task runtime.
 //
-// Builds the POTRF/TRSM/SYRK/GEMM task graph over a TiledSymmetricMatrix and
-// executes it on the work-stealing scheduler. Precision-conversion placement
-// is expressed in the DAG itself:
+// Factorizes a TiledSymmetricMatrix in place: on return the lower-triangle
+// tiles hold L with A ~= L L^T, each tile still in its assigned storage
+// precision. The task structure matches the paper (Section V-A):
+//   POTRF(k,k)  -> broadcasts to TRSM(i,k), i > k
+//   TRSM(i,k)   -> broadcasts to GEMM(i,j,k) in row i / column i, SYRK(i,k)
+// Tasks compute in the precision class of their *output* tile; fp16 tiles
+// compute with half-rounded operands and fp32 accumulation (tensor-core
+// semantics). The graph runs on the work-stealing scheduler; the factor is
+// bit-identical at any thread count.
+//
+// Precision-conversion placement is expressed in the DAG itself:
 //   * Sender placement inserts explicit CONVERT tasks right after the
 //     producing POTRF/TRSM, writing a shared converted copy that all
 //     consumers read — one conversion per (tile, precision), exactly
 //     PaRSEC's sender-side reshaping in the paper (Section V-A).
 //   * Receiver placement performs conversions privately inside each
-//     consuming task (the [34] baseline): no CONVERT tasks, more conversion
-//     work, more memory traffic.
-//
-// The same builder is used by the perfmodel at small tile counts to validate
-// the analytic cluster model against a real DAG.
+//     consuming task (the [34] baseline that Fig. 5 compares against): no
+//     CONVERT tasks, more conversion work, more memory traffic.
+// The perfmodel replays the same choice with communication costs at scale,
+// and uses this builder at small tile counts to validate its analytic
+// cluster model against a real DAG.
 #pragma once
 
 #include <atomic>
@@ -22,7 +30,7 @@
 #include <string>
 
 #include "common/io.hpp"
-#include "linalg/cholesky.hpp"
+#include "linalg/precision_policy.hpp"
 #include "linalg/tile_matrix.hpp"
 #include "runtime/scheduler.hpp"
 #include "runtime/task_graph.hpp"
@@ -85,11 +93,18 @@ struct RtCholeskyResult {
   bool resumed = false;               ///< tiles restored from resume_path
 };
 
-/// Factorizes `a` in place in parallel. Throws NumericalError if a diagonal
-/// tile is not positive definite (after quiescing the worker pool).
+/// Factorizes `a` in place in parallel. Throws a structured TaskFailure
+/// (kind POTRF) if a diagonal tile is not positive definite and fault
+/// tolerance cannot repair it (after quiescing the worker pool).
 RtCholeskyResult cholesky_tiled_parallel(linalg::TiledSymmetricMatrix& a,
                                          const RtCholeskyOptions& options = {},
                                          Trace* trace = nullptr);
+
+/// Convenience: factorizes a dense SPD matrix through the tiled solver with
+/// the given variant's band policy and returns the dense lower factor (upper
+/// zeroed).
+linalg::Matrix cholesky_mixed_dense(const linalg::Matrix& a, index_t nb,
+                                    linalg::PrecisionVariant v);
 
 /// Holds the task graph plus the converted-copy buffers the task bodies
 /// reference; must outlive execution.

@@ -1,12 +1,11 @@
 // Broad parameter sweeps over the mixed-precision tile Cholesky: matrix
 // size x tile size grids (including primes and ragged edges), correlation
-// structure, solve-through-the-factor accuracy, and cross-engine agreement.
+// structure, solve-through-the-factor accuracy, and thread-count invariance.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "common/rng.hpp"
-#include "linalg/cholesky.hpp"
 #include "linalg/solve.hpp"
 #include "runtime/tiled_cholesky_rt.hpp"
 
@@ -14,6 +13,7 @@ namespace {
 
 using namespace exaclim;
 using namespace exaclim::linalg;
+using runtime::cholesky_mixed_dense;
 
 Matrix spd(index_t n, double length_scale) {
   Matrix a(n, n);
@@ -48,20 +48,20 @@ TEST_P(SizeTileSweep, DpHpFactorizationWithinHalfPrecision)
   EXPECT_LT(cholesky_residual(a, l), 2e-2) << "n=" << n << " nb=" << nb;
 }
 
-TEST_P(SizeTileSweep, RuntimeMatchesSequential) {
+TEST_P(SizeTileSweep, FactorIsIndependentOfThreadCount) {
   const auto [n, nb] = GetParam();
   const index_t nt = (n + nb - 1) / nb;
   const Matrix a = spd(n, static_cast<double>(n) / 10.0);
-  auto seq = TiledSymmetricMatrix::from_dense(
-      a, nb, make_band_policy(nt, PrecisionVariant::DP_SP));
-  cholesky_tiled(seq);
-  auto par = TiledSymmetricMatrix::from_dense(
-      a, nb, make_band_policy(nt, PrecisionVariant::DP_SP));
-  runtime::RtCholeskyOptions opt;
-  opt.threads = 8;
-  runtime::cholesky_tiled_parallel(par, opt);
-  const Matrix l1 = seq.to_dense(true);
-  const Matrix l2 = par.to_dense(true);
+  auto factor = [&](unsigned threads) {
+    auto t = TiledSymmetricMatrix::from_dense(
+        a, nb, make_band_policy(nt, PrecisionVariant::DP_SP));
+    runtime::RtCholeskyOptions opt;
+    opt.threads = threads;
+    runtime::cholesky_tiled_parallel(t, opt);
+    return t.to_dense(true);
+  };
+  const Matrix l1 = factor(1);
+  const Matrix l2 = factor(8);
   for (index_t i = 0; i < n; ++i) {
     for (index_t j = 0; j <= i; ++j) EXPECT_EQ(l1(i, j), l2(i, j));
   }

@@ -10,7 +10,6 @@
 
 #include "common/half.hpp"
 #include "common/rng.hpp"
-#include "linalg/cholesky.hpp"
 #include "linalg/kernels.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/precision_policy.hpp"
@@ -22,6 +21,7 @@ namespace {
 using namespace exaclim;
 using namespace exaclim::linalg;
 using common::half;
+using runtime::cholesky_mixed_dense;
 
 // ---------- binary16 boundary values ----------------------------------------
 
@@ -276,24 +276,26 @@ TEST(LargeMagnitudeCholesky, DpHpResidualComparableToUnitScale) {
   EXPECT_LT(r_big, 10.0 * r_unit + 1e-12);
 }
 
-TEST(LargeMagnitudeCholesky, RuntimeParallelMatchesSequential) {
+TEST(LargeMagnitudeCholesky, FactorIsIndependentOfThreadsAndPlacement) {
+  // Reference: one worker, sender placement. Four workers under either
+  // placement must reproduce it bit for bit.
   const index_t n = 192;
   const index_t nb = 48;
   const index_t nt = (n + nb - 1) / nb;
   const Matrix a = covariance_spd(n, 1e6);
-  auto seq = TiledSymmetricMatrix::from_dense(
-      a, nb, make_band_policy(nt, PrecisionVariant::DP_HP));
-  cholesky_tiled(seq);
-  for (auto placement :
-       {ConversionPlacement::Sender, ConversionPlacement::Receiver}) {
-    auto par = TiledSymmetricMatrix::from_dense(
+  auto factor = [&](unsigned threads, ConversionPlacement placement) {
+    auto t = TiledSymmetricMatrix::from_dense(
         a, nb, make_band_policy(nt, PrecisionVariant::DP_HP));
     runtime::RtCholeskyOptions opt;
-    opt.threads = 4;
+    opt.threads = threads;
     opt.placement = placement;
-    runtime::cholesky_tiled_parallel(par, opt);
-    const Matrix l1 = seq.to_dense(true);
-    const Matrix l2 = par.to_dense(true);
+    runtime::cholesky_tiled_parallel(t, opt);
+    return t.to_dense(true);
+  };
+  const Matrix l1 = factor(1, ConversionPlacement::Sender);
+  for (auto placement :
+       {ConversionPlacement::Sender, ConversionPlacement::Receiver}) {
+    const Matrix l2 = factor(4, placement);
     for (index_t i = 0; i < n; ++i) {
       for (index_t j = 0; j <= i; ++j) {
         ASSERT_EQ(l1(i, j), l2(i, j)) << i << "," << j;
@@ -309,7 +311,7 @@ TEST(LargeMagnitudeCholesky, TileCentricPolicyStaysFinite) {
   const auto map = make_tile_centric_policy(a, nb, 0.5, 0.2);
   EXPECT_GT(map.fraction(Precision::FP16), 0.0);  // policy did assign HP
   auto tiled = TiledSymmetricMatrix::from_dense(a, nb, map);
-  cholesky_tiled(tiled);
+  runtime::cholesky_tiled_parallel(tiled);
   const Matrix l = tiled.to_dense(true);
   for (index_t i = 0; i < n; ++i) {
     for (index_t j = 0; j <= i; ++j) {

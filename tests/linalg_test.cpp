@@ -6,16 +6,21 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "linalg/cholesky.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/precision_policy.hpp"
 #include "linalg/solve.hpp"
 #include "linalg/tile_matrix.hpp"
+#include "runtime/failure.hpp"
+#include "runtime/tiled_cholesky_rt.hpp"
 
 namespace {
 
 using namespace exaclim;
 using namespace exaclim::linalg;
+using runtime::cholesky_mixed_dense;
+using runtime::cholesky_tiled_parallel;
+using runtime::RtCholeskyOptions;
+using runtime::RtCholeskyResult;
 
 /// SPD test matrix with exponentially decaying off-diagonal correlation —
 /// the structure of the emulator's innovation covariance that band-based
@@ -264,14 +269,16 @@ class MixedCholesky : public ::testing::TestWithParam<CholeskyCase> {};
 TEST_P(MixedCholesky, ResidualWithinPolicyTolerance) {
   const auto [n, nb, variant, tol] = GetParam();
   Matrix a = decaying_spd(n);
-  CholeskyStats stats;
-  const Matrix l = cholesky_mixed_dense(a, nb, variant, &stats);
+  const index_t nt = (n + nb - 1) / nb;
+  auto t =
+      TiledSymmetricMatrix::from_dense(a, nb, make_band_policy(nt, variant));
+  const RtCholeskyResult result = cholesky_tiled_parallel(t);
+  const Matrix l = t.to_dense(true);
   EXPECT_LT(cholesky_residual(a, l), tol)
       << variant_name(variant) << " n=" << n << " nb=" << nb;
-  // Task count: nt POTRF + nt(nt-1)/2 TRSM + nt(nt-1)/2 SYRK +
-  // nt(nt-1)(nt-2)/6 GEMM.
-  const index_t nt = (n + nb - 1) / nb;
-  EXPECT_EQ(stats.tasks,
+  // Kernel task count: nt POTRF + nt(nt-1)/2 TRSM + nt(nt-1)/2 SYRK +
+  // nt(nt-1)(nt-2)/6 GEMM; sender placement adds the CONVERT tasks.
+  EXPECT_EQ(result.total_tasks - result.convert_tasks,
             nt + nt * (nt - 1) + nt * (nt - 1) * (nt - 2) / 6);
 }
 
@@ -316,9 +323,9 @@ TEST(MixedCholeskyConversions, SenderConvertsLessThanReceiver) {
        {ConversionPlacement::Sender, ConversionPlacement::Receiver}) {
     auto t = TiledSymmetricMatrix::from_dense(
         a, nb, make_band_policy(nt, PrecisionVariant::DP_HP));
-    CholeskyOptions opt;
+    RtCholeskyOptions opt;
     opt.placement = placement;
-    conversions[idx++] = cholesky_tiled(t, opt).element_conversions;
+    conversions[idx++] = cholesky_tiled_parallel(t, opt).element_conversions;
   }
   EXPECT_LT(conversions[0], conversions[1]);
 }
@@ -328,7 +335,7 @@ TEST(MixedCholeskyConversions, DpVariantConvertsNothing) {
   Matrix a = decaying_spd(n);
   auto t = TiledSymmetricMatrix::from_dense(
       a, 32, make_band_policy(4, PrecisionVariant::DP));
-  EXPECT_EQ(cholesky_tiled(t).element_conversions, 0.0);
+  EXPECT_EQ(cholesky_tiled_parallel(t).element_conversions, 0.0);
 }
 
 TEST(MixedCholesky, SenderAndReceiverProduceIdenticalFactors) {
@@ -341,9 +348,9 @@ TEST(MixedCholesky, SenderAndReceiverProduceIdenticalFactors) {
        {ConversionPlacement::Sender, ConversionPlacement::Receiver}) {
     auto t = TiledSymmetricMatrix::from_dense(
         a, nb, make_band_policy(4, PrecisionVariant::DP_HP));
-    CholeskyOptions opt;
+    RtCholeskyOptions opt;
     opt.placement = placement;
-    cholesky_tiled(t, opt);
+    cholesky_tiled_parallel(t, opt);
     factors[idx++] = t.to_dense(true);
   }
   for (index_t i = 0; i < n; ++i) {
@@ -369,20 +376,21 @@ TEST(MixedCholesky, MatchesDenseCholeskyInDp) {
 TEST(MixedCholesky, ThrowsOnIndefiniteMatrix) {
   Matrix a(64, 64);
   for (index_t i = 0; i < 64; ++i) a(i, i) = -1.0;
-  EXPECT_THROW(cholesky_mixed_dense(a, 32, PrecisionVariant::DP),
-               NumericalError);
+  try {
+    cholesky_mixed_dense(a, 32, PrecisionVariant::DP);
+    FAIL() << "expected TaskFailure";
+  } catch (const runtime::TaskFailure& e) {
+    EXPECT_EQ(e.kind(), "POTRF");
+  }
 }
 
 TEST(MixedCholesky, StatsAccumulateTimings) {
   Matrix a = decaying_spd(256);
-  CholeskyStats stats;
-  cholesky_mixed_dense(a, 64, PrecisionVariant::DP_HP, &stats);
-  EXPECT_GT(stats.seconds, 0.0);
-  EXPECT_GT(stats.flops, 0.0);
-  EXPECT_GT(stats.gflops_per_second(), 0.0);
-  EXPECT_GT(stats.gemm_seconds + stats.trsm_seconds + stats.syrk_seconds +
-                stats.potrf_seconds,
-            0.0);
+  auto t = TiledSymmetricMatrix::from_dense(
+      a, 64, make_band_policy(4, PrecisionVariant::DP_HP));
+  const RtCholeskyResult result = cholesky_tiled_parallel(t);
+  EXPECT_GT(result.run.seconds, 0.0);
+  EXPECT_GT(result.run.busy_seconds, 0.0);
 }
 
 // ---------- solve helpers --------------------------------------------------------

@@ -6,6 +6,7 @@
 
 #include "climate/synthetic_esm.hpp"
 #include "common/error.hpp"
+#include "common/fault.hpp"
 #include "core/consistency.hpp"
 #include "core/multivariate.hpp"
 #include "stats/diagnostics.hpp"
@@ -192,6 +193,26 @@ TEST(MultiVar, SingleVariableDegeneratesToUnivariate) {
                                     data.forcing, 3);
   const auto r = evaluate_consistency(data.primary, emu[0], 8);
   EXPECT_TRUE(r.consistent(0.5));
+}
+
+TEST(MultiVar, FaultToleranceRecoversInjectedPotrfFailure) {
+  // A guaranteed NumericalError from every diagonal POTRF: with fault
+  // tolerance on, the joint factorization must recover as the univariate
+  // one does.
+  struct InjectorGuard {
+    ~InjectorGuard() { common::FaultInjector::instance().disarm(); }
+  } guard;
+  const auto data = climate::generate_bivariate_esm(bivar_config(), 0.5);
+  EmulatorConfig cfg = joint_config();
+  cfg.fault_tolerance = true;
+  common::FaultInjector::instance().arm(
+      common::FaultPlan::parse("seed=3;numerical=1;kind=POTRF"));
+  MultiVariateEmulator emulator(cfg);
+  const auto report =
+      emulator.train({&data.primary, &data.secondary}, data.forcing);
+  EXPECT_TRUE(emulator.is_trained());
+  EXPECT_EQ(report.joint_dimension, 128);
+  EXPECT_GT(common::FaultInjector::instance().counts().numerical, 0);
 }
 
 TEST(MultiVar, UntrainedRejectsUse) {

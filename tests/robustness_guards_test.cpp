@@ -18,6 +18,8 @@
 #include "common/io.hpp"
 #include "common/memory.hpp"
 #include "core/emulator.hpp"
+#include "linalg/kernels.hpp"
+#include "linalg/precision_policy.hpp"
 #include "linalg/tile_matrix.hpp"
 #include "runtime/failure.hpp"
 #include "runtime/scheduler.hpp"
@@ -169,6 +171,43 @@ TEST(MemoryBudget, ZeroBudgetMeansUnlimited) {
   map.tiles.assign(3, linalg::Precision::FP64);
   linalg::TiledSymmetricMatrix a(32, 16, map);
   EXPECT_EQ(a.tiles_degraded_for_memory(), 0);
+}
+
+TEST(MemoryBudget, TrainingReportsTilesDegradedForMemory) {
+  BudgetGuard guard;
+  auto& budget = common::MemoryBudget::instance();
+  const auto esm = climate::generate_synthetic_esm(tiny_esm());
+  core::EmulatorConfig cfg = tiny_config();
+  // n = 64 in tiles of 21,21,21,1; one thread keeps every factorization
+  // task, and so every scratch-arena charge, on this thread.
+  cfg.tile_size = 21;
+  cfg.threads = 1;
+  // Start this thread's packing arenas empty, then let an unconstrained
+  // DP/HP run regrow both of them (f64, and f32 for the FP16 tiles), so the
+  // scratch the factorization holds is charged after the reset and re-fits
+  // when the pressure from narrowing trims it.
+  budget.signal_pressure();
+  linalg::trim_thread_scratch_on_pressure();
+  budget.reset_for_test();
+  core::EmulatorConfig warm = cfg;
+  warm.cholesky_variant = linalg::PrecisionVariant::DP_HP;
+  core::ClimateEmulator(warm).train(esm.data, esm.forcing);
+  // Room for the six full 21x21 FP64 tiles (3528 bytes each) and the ragged
+  // row at (3,0) FP64 = 168, (3,1) and (3,2) FP16 = 42 each, (3,3) FP64 = 8:
+  // exactly two off-diagonal tiles must narrow.
+  const std::size_t tiles_bytes = 6 * 3528 + 168 + 42 + 42 + 8;
+  budget.set_budget(budget.charged() + tiles_bytes);
+  core::ClimateEmulator emulator(cfg);
+  const core::TrainReport report = emulator.train(esm.data, esm.forcing);
+  EXPECT_GT(report.tiles_degraded_for_memory, 0);
+
+  // The same budget headroom over the same tile layout.
+  budget.set_budget(budget.charged() + tiles_bytes);
+  const linalg::TiledSymmetricMatrix tiled(
+      64, 21, linalg::make_band_policy(4, linalg::PrecisionVariant::DP));
+  EXPECT_EQ(tiled.tiles_degraded_for_memory(), 2);
+  EXPECT_EQ(report.tiles_degraded_for_memory,
+            tiled.tiles_degraded_for_memory());
 }
 
 // ---------- fault plan & sync policy parsing ----------------------------------

@@ -312,26 +312,31 @@ INSTANTIATE_TEST_SUITE_P(
         RtCase{linalg::PrecisionVariant::DP_HP,
                linalg::ConversionPlacement::Sender, 24, 5e-3}));
 
-TEST(RtCholesky, MatchesSequentialEngineExactly) {
-  // The runtime version must produce bit-identical factors to the sequential
-  // engine (same kernels, same order per tile).
+TEST(RtCholesky, FactorIsIndependentOfThreadCount) {
+  // The schedule must not change the factor: one worker and eight workers
+  // produce bit-identical tiles (same kernels, same order per tile).
   const index_t n = 192;
   const index_t nb = 48;
   const index_t nt = (n + nb - 1) / nb;
   linalg::Matrix a = decaying_spd(n);
-  auto seq = linalg::TiledSymmetricMatrix::from_dense(
-      a, nb, linalg::make_band_policy(nt, linalg::PrecisionVariant::DP_HP));
-  linalg::cholesky_tiled(seq);
-  auto par = linalg::TiledSymmetricMatrix::from_dense(
-      a, nb, linalg::make_band_policy(nt, linalg::PrecisionVariant::DP_HP));
-  RtCholeskyOptions opt;
-  opt.threads = 8;
-  cholesky_tiled_parallel(par, opt);
-  const linalg::Matrix l1 = seq.to_dense(true);
-  const linalg::Matrix l2 = par.to_dense(true);
-  for (index_t i = 0; i < n; ++i) {
-    for (index_t j = 0; j <= i; ++j) {
-      EXPECT_EQ(l1(i, j), l2(i, j)) << i << "," << j;
+  for (const auto placement : {linalg::ConversionPlacement::Sender,
+                               linalg::ConversionPlacement::Receiver}) {
+    auto factor = [&](unsigned threads) {
+      auto t = linalg::TiledSymmetricMatrix::from_dense(
+          a, nb,
+          linalg::make_band_policy(nt, linalg::PrecisionVariant::DP_HP));
+      RtCholeskyOptions opt;
+      opt.placement = placement;
+      opt.threads = threads;
+      cholesky_tiled_parallel(t, opt);
+      return t.to_dense(true);
+    };
+    const linalg::Matrix l1 = factor(1);
+    const linalg::Matrix l2 = factor(8);
+    for (index_t i = 0; i < n; ++i) {
+      for (index_t j = 0; j <= i; ++j) {
+        EXPECT_EQ(l1(i, j), l2(i, j)) << i << "," << j;
+      }
     }
   }
 }
